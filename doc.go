@@ -8,8 +8,9 @@
 //
 //   - sim: the slotted, synchronous round engine (Section 2). Runs are
 //     deterministic per seed; WithParallel shards each round's mobility,
-//     Transmit and Receive fan-out across a bounded worker pool without
-//     changing output. The steady-state round loop is allocation-free:
+//     Transmit and Receive fan-out (and, with WithRegionShards, the
+//     per-shard mediums) across a persistent worker pool without changing
+//     output — the stack's one parallelism mechanism. The steady-state round loop is allocation-free:
 //     the NodeInfo view, transmission list and Transmit slots are reused
 //     buffers, every per-round walk covers only the alive list (dead
 //     nodes cost nothing after the round they die in), and CrashAt with a
@@ -24,12 +25,12 @@
 //   - radio: the collision-prone medium. Delivery buckets each round's
 //     transmissions into R2-sized grid cells so every receiver consults
 //     only its own and adjacent cells (near-linear per round rather than
-//     O(receivers x transmissions)); Config.Mode selects scan/grid/auto
-//     and Config.Parallel shards receivers across workers. All modes are
-//     reception-identical for the same seed. Per-round state (reception
-//     slice, transmission index, identity map) lives on the Medium and
-//     per-worker partition buffers are pooled, so steady-state delivery
-//     allocates only the message slices receivers actually get.
+//     O(receivers x transmissions)); Config.Mode selects scan/grid/auto,
+//     and the default auto mode picks from each round's size. All modes
+//     are reception-identical for the same seed. Per-round state
+//     (reception slice, transmission index, identity map, partition
+//     buffers) lives on the Medium, so steady-state delivery allocates
+//     only the message slices receivers actually get.
 //   - cd, cm: the model's collision detector classes and contention
 //     managers. Both have exact-behavior unit tests under injected
 //     jamming: adversarial collision patterns produce precisely the
@@ -58,12 +59,10 @@
 //     node states, payloads and proposals are byte strings encoded with
 //     wire; Codec adapts typed states through explicit
 //     EncodeState/DecodeState functions, and every protocol message's
-//     WireSize is the exact length of its encoding. encoding/gob is off
-//     the per-round path entirely (GobCodec remains as an explicit
-//     reflection-based compatibility adapter for prototyping). Monitor
-//     accounts per-virtual-node availability: green instances, maximal
-//     stalls and recovery latencies, with horizon-aware variants that
-//     count a silenced node as unavailable.
+//     WireSize is the exact length of its encoding. Monitor accounts
+//     per-virtual-node availability: green instances, maximal stalls and
+//     recovery latencies, with horizon-aware variants that count a
+//     silenced node as unavailable.
 //   - apps, baseline: applications on top of the infrastructure and the
 //     baselines the paper argues against. Application payloads and states
 //     are canonical wire encodings (a one-byte kind tag plus fixed field
@@ -71,8 +70,7 @@
 //   - mobility, metrics: mobility models and table rendering.
 //   - experiments: the reproduction experiment suite E1–E13 — E11 "metro"
 //     drives grids of virtual nodes through heavy churn (Leave, scheduled
-//     and late CrashAt, mid-run Attach) on the parallel grid-indexed
-//     stack, and E12 "state plane" measures per-virtual-round emulation
+//     and late CrashAt, mid-run Attach) on the parallel engine, and E12 "state plane" measures per-virtual-round emulation
 //     cost (rounds, measured wire bytes, rounds/sec) at 9/25/49 virtual
 //     nodes, and E13 "adversary" sweeps faults attacks (jam, wipe, storm,
 //     burst) x intensity x deployment size, reporting availability,

@@ -211,40 +211,3 @@ func TestCheckpointMidRound(t *testing.T) {
 		})
 	}
 }
-
-// TestEngineFork pins the fork semantics: restoring the same checkpoint
-// under a different seed is (a) deterministic — two forks with the same
-// seed agree byte-for-byte — and (b) an actual divergence — the forked
-// timeline's RNG decisions decouple from the parent's.
-func TestEngineFork(t *testing.T) {
-	p := e13Desc.Grid(true)[0] // jam/high: seeded gray-zone + jammer decisions
-	mk := func() *adversarySoak {
-		return newAdversarySoak(&harness.Cell{Params: p, Seed: 1}, true, 0)
-	}
-	s := mk()
-	for s.VRound() < 3 {
-		s.StepVRound()
-	}
-	cp := s.Checkpoint()
-
-	fork := func(seed int64) []byte {
-		f := mk()
-		if err := f.bed.medium.Restore(cp.Medium); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.bed.eng.Fork(cp.Engine, seed); err != nil {
-			t.Fatal(err)
-		}
-		f.bed.mon.Restore(cp.Monitor)
-		f.bed.eng.Run(4 * f.per)
-		return f.bed.eng.Snapshot().AppendTo(nil)
-	}
-
-	a, b, c := fork(777), fork(777), fork(778)
-	if !bytes.Equal(a, b) {
-		t.Fatal("two forks with the same seed diverge — fork is not deterministic")
-	}
-	if bytes.Equal(a, c) {
-		t.Fatal("forks with different seeds agree byte-for-byte — the fork seed is not reaching the node RNG streams")
-	}
-}

@@ -8,9 +8,9 @@ import (
 )
 
 // TestAdversaryParallelEqualsSequential pins the adversary plane's
-// determinism contract: every E13 cell — jammers filtering receivers
-// concurrently inside the parallel medium, faults striking from the engine
-// loop, monitor accounting fed from sharded Receive fan-out — produces
+// determinism contract: every E13 cell — jammers filtering receivers in
+// the medium, faults striking from the engine loop, monitor accounting fed
+// from the pool's Receive fan-out — produces
 // byte-identical rows whether the stack runs sequentially or parallel.
 func TestAdversaryParallelEqualsSequential(t *testing.T) {
 	for _, p := range e13Desc.Grid(true) {

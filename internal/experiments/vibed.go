@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"vinfra/internal/apps"
 	"vinfra/internal/cd"
 	"vinfra/internal/cha"
 	"vinfra/internal/cm"
@@ -11,39 +12,7 @@ import (
 	"vinfra/internal/shard"
 	"vinfra/internal/sim"
 	"vinfra/internal/vi"
-	"vinfra/internal/wire"
 )
-
-// viCounterProgram is the reference virtual node program for the VI
-// experiments: it counts client messages and broadcasts the count when
-// scheduled.
-type viCounterState struct {
-	Pings int
-}
-
-func viCounterProgram(sched vi.Schedule) func(vi.VNodeID) vi.Program {
-	return func(v vi.VNodeID) vi.Program {
-		return vi.Codec[viCounterState]{
-			InitState: func(vi.VNodeID, geo.Point) viCounterState { return viCounterState{} },
-			Step: func(s viCounterState, _ int, in vi.RoundInput) viCounterState {
-				s.Pings += len(in.Msgs)
-				return s
-			},
-			Out: func(s viCounterState, vround int) *vi.Message {
-				if !sched.ScheduledIn(v, vround-1) {
-					return nil
-				}
-				return vi.Text(fmt.Sprintf("count=%d", s.Pings))
-			},
-			EncodeState: func(dst []byte, s viCounterState) []byte {
-				return wire.AppendUvarint(dst, uint64(s.Pings))
-			},
-			DecodeState: func(d *wire.Decoder) (viCounterState, error) {
-				return viCounterState{Pings: int(d.Uvarint())}, d.Err()
-			},
-		}
-	}
-}
 
 // viBed is a full virtual infrastructure deployment wired for measurement:
 // every emulator output feeds the availability monitor, so each experiment
@@ -71,16 +40,16 @@ type viBedOpts struct {
 	fixedLeader bool
 	adversary   radio.Adversary
 	detector    cd.Detector
-	// parallel runs the bed the way a large deployment would: grid-indexed
-	// sharded delivery and a parallel engine. Results are identical to the
-	// sequential bed (the determinism contract); only the cost changes.
+	// parallel runs the bed on the engine's worker pool (WithParallel).
+	// Results are identical to the sequential bed (the determinism
+	// contract); only the cost changes.
 	parallel bool
 	// shards > 0 runs the bed on the region-sharded engine instead of one
 	// medium: shard.Split factors the count into a near-square grid, each
-	// shard rectangle gets its own radio.Medium (same seed, sequential
-	// receiver loop — the shard is the parallelism unit), and boundary-band
-	// transmissions are exchanged at round edges. Results are identical to
-	// the single-medium bed for any count (the determinism contract).
+	// shard rectangle gets its own radio.Medium (same configuration), and
+	// boundary-band transmissions are exchanged at round edges. Results are
+	// identical to the single-medium bed for any count (the determinism
+	// contract).
 	shards int
 }
 
@@ -95,7 +64,7 @@ func newVIBed(o viBedOpts) *viBed {
 	cfg := vi.DeploymentConfig{
 		Locations: o.locs,
 		Radii:     Radii,
-		Program:   viCounterProgram(sched),
+		Program:   apps.CounterProgram(sched),
 	}
 	var setLeaders []func(sim.NodeID)
 	if o.fixedLeader {
@@ -118,24 +87,18 @@ func newVIBed(o viBedOpts) *viBed {
 		Adversary: o.adversary,
 		Seed:      o.seed,
 	}
+	// Every medium runs ModeAuto: small rounds (and small shards) scan,
+	// busy ones build a grid index.
 	engOpts := []sim.Option{sim.WithSeed(o.seed)}
 	if o.parallel {
-		mediumCfg.Mode = radio.ModeGrid
-		mediumCfg.Parallel = true
 		engOpts = append(engOpts, sim.WithParallel())
 	}
 	if o.shards > 0 {
-		// Each shard medium delivers its residents sequentially (the shard
-		// is the parallelism unit; receiver-sharding inside a shard would
-		// nest worker pools) and keeps ModeAuto: small shards scan, busy
-		// ones build their own grid index. Cell size is the interference
-		// radius, matching the medium's own bucketing.
-		shardCfg := mediumCfg
-		shardCfg.Mode = radio.ModeAuto
-		shardCfg.Parallel = false
+		// Cell size is the interference radius, matching the medium's own
+		// bucketing.
 		cols, rows := shard.Split(o.shards)
 		engOpts = append(engOpts, sim.WithRegionShards(cols, rows, Radii.R2, func() sim.Medium {
-			return radio.MustMedium(shardCfg)
+			return radio.MustMedium(mediumCfg)
 		}))
 	}
 	medium := radio.MustMedium(mediumCfg)

@@ -25,7 +25,7 @@ func (None) ForceCollision(sim.Round, sim.NodeID, geo.Point) bool { return false
 // Construct with NewRandomLoss to seed the deterministic random source.
 // Each draw is keyed by (seed, round, receiver, sender), so the adversary
 // is stateless, independent of the order receivers are filtered in, and
-// safe for the concurrent use a parallel Medium makes of it.
+// safe for concurrent use by the region-shard mediums that share it.
 type RandomLoss struct {
 	p          float64
 	collisionP float64

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -91,30 +92,46 @@ func TestGridScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelDeliveryDeterminism requires that sharding receivers across
-// a worker pool changes nothing: for any scenario and any worker count,
-// the receptions equal the sequential ones, run after run.
+// TestParallelDeliveryDeterminism pins the property the region-sharded
+// engine's parallelism rests on: a reception depends only on the receiver,
+// the round and the transmissions near it, never on which other receivers
+// share the Deliver call. For any scenario and any split, delivering each
+// receiver group through its own Medium — concurrently, every medium
+// sharing one adversary — reproduces the single-medium receptions, run
+// after run.
 func TestParallelDeliveryDeterminism(t *testing.T) {
-	f := func(seed uint32, nRaw uint8, workersRaw uint8) bool {
+	f := func(seed uint32, nRaw uint8, groupsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		n := int(nRaw%120) + 2
 		radii, infos, txs := randomRound(rng, n)
-		base := Config{
+		cfg := Config{
 			Radii:                radii,
 			Detector:             cd.EventuallyAC{Racc: 2, FalsePositiveRate: 0.3},
 			Adversary:            NewRandomLoss(0.4, 0.2, 50, int64(seed)),
 			GrayZoneDeliveryProb: 0.5,
 			Seed:                 int64(seed) + 1,
 		}
-		seqCfg, parCfg := base, base
-		parCfg.Parallel = true
-		parCfg.Workers = int(workersRaw%8) + 1
-		seq := MustMedium(seqCfg)
-		par := MustMedium(parCfg)
+		k := int(groupsRaw%8) + 1
+		seq := MustMedium(cfg)
+		groups := make([]*Medium, k)
+		for g := range groups {
+			groups[g] = MustMedium(cfg)
+		}
 		for r := sim.Round(0); r < 3; r++ {
 			want := seq.Deliver(r, txs, infos)
 			for rep := 0; rep < 3; rep++ {
-				if !reflect.DeepEqual(par.Deliver(r, txs, infos), want) {
+				got := make([]sim.Reception, n)
+				var wg sync.WaitGroup
+				for g, m := range groups {
+					lo, hi := g*n/k, (g+1)*n/k
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						copy(got[lo:hi], m.Deliver(r, txs, infos[lo:hi]))
+					}()
+				}
+				wg.Wait()
+				if !reflect.DeepEqual(got, want) {
 					return false
 				}
 			}
@@ -169,12 +186,9 @@ func TestAutoModeMatchesScan(t *testing.T) {
 	}
 }
 
-func TestNewMediumRejectsBadModeAndWorkers(t *testing.T) {
+func TestNewMediumRejectsBadMode(t *testing.T) {
 	radii := geo.Radii{R1: 1, R2: 2}
 	if _, err := NewMedium(Config{Radii: radii, Detector: cd.AC{}, Mode: DeliveryMode(42)}); err == nil {
 		t.Error("bad Mode accepted")
-	}
-	if _, err := NewMedium(Config{Radii: radii, Detector: cd.AC{}, Workers: -1}); err == nil {
-		t.Error("negative Workers accepted")
 	}
 }

@@ -11,23 +11,24 @@
 // every transmission (O(receivers x transmissions) per round), the medium
 // buckets the round's transmissions into a uniform grid with cell size R2
 // (geo.CellIndex) and each receiver consults only its own and adjacent
-// cells. Receivers can additionally be sharded across a worker pool
-// (Config.Parallel); all randomness is derived per (round, receiver), so
-// every mode — scan, grid, sequential, parallel — produces identical
-// receptions for the same seed.
+// cells. ModeAuto picks the scan or the grid from each round's size. All
+// randomness is derived per (round, receiver), so every mode produces
+// identical receptions for the same seed, and a receiver's reception does
+// not depend on which other receivers share its Deliver call — the property
+// the region-sharded engine (sim.WithRegionShards) relies on to run one
+// Medium per shard in parallel. A Medium itself delivers on the caller's
+// goroutine; the engine's worker pool is the stack's only fan-out.
 //
 // The steady-state delivery loop is also nearly allocation-free: the
-// reception slice, the transmission index (rebuilt in place each round) and
-// the sender identity map live on the Medium, the per-receiver partition
-// buffers live in pooled per-worker scratch, and empty receptions carry nil
-// message slices. Only receivers that actually hear something allocate
-// (their Msgs slices may be retained by nodes).
+// reception slice, the transmission index (rebuilt in place each round),
+// the sender identity map and the per-receiver partition buffers live on
+// the Medium, and empty receptions carry nil message slices. Only receivers
+// that actually hear something allocate (their Msgs slices may be retained
+// by nodes).
 package radio
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"vinfra/internal/cd"
 	"vinfra/internal/det"
@@ -40,10 +41,12 @@ import (
 // must become harmless (identity Filter, no forced collisions) from r_cf
 // onward.
 //
-// The medium may invoke an Adversary from multiple goroutines at once and
-// in any receiver order (Config.Parallel), so implementations must be safe
-// for concurrent use and must not depend on call order; derive any
-// randomness deterministically from (round, receiver) as RandomLoss does.
+// One Medium calls its Adversary sequentially, but the region-sharded
+// engine runs one Medium per shard concurrently, all sharing the configured
+// Adversary, and each shard sees only its own residents. Implementations
+// must therefore be safe for concurrent use and must not depend on call
+// order or on which receivers share a call; derive any randomness
+// deterministically from (round, receiver) as RandomLoss does.
 type Adversary interface {
 	// Filter returns the subset of deliverable transmissions actually
 	// delivered to the receiver (currently located at) in round r.
@@ -107,14 +110,6 @@ type Config struct {
 	Seed int64
 	// Mode selects the delivery implementation; see DeliveryMode.
 	Mode DeliveryMode
-	// Parallel shards the per-receiver delivery computation across a
-	// worker pool. Output is deterministic and identical to the
-	// sequential modes: receptions are written into per-receiver slots
-	// (NodeID order) and all randomness is per-receiver.
-	Parallel bool
-	// Workers caps the pool used when Parallel is set; 0 means
-	// runtime.GOMAXPROCS(0).
-	Workers int
 }
 
 // Medium implements sim.Medium with quasi-unit-disk propagation and
@@ -122,29 +117,26 @@ type Config struct {
 //
 // A Medium carries reusable per-round delivery state, so a single Medium
 // must not have Deliver invoked concurrently (one engine calling it once
-// per round — the sim.Medium contract — is the intended use; within one
-// call, receiver shards still fan out across workers). The returned
+// per round — the sim.Medium contract — is the intended use). The returned
 // reception slice is valid until the next Deliver call.
 type Medium struct {
 	cfg Config
 
 	// Per-round reusable state: the reception slice handed back to the
-	// engine, the transmission-origin points and their cell index, and the
-	// sender -> transmission identity map. Rebuilt (in place) every round,
-	// so the steady-state round loop allocates almost nothing.
-	out   []sim.Reception
-	pts   []geo.Point
-	ix    *geo.CellIndex
-	ownTx map[sim.NodeID]int32
-
-	// scratch pools per-worker partition buffers across rounds.
-	scratch sync.Pool
+	// engine, the transmission-origin points and their cell index, the
+	// sender -> transmission identity map and the per-receiver scratch.
+	// Rebuilt (in place) every round, so the steady-state round loop
+	// allocates almost nothing.
+	out     []sim.Reception
+	pts     []geo.Point
+	ix      *geo.CellIndex
+	ownTx   map[sim.NodeID]int32
+	scratch *deliverScratch
 }
 
-// deliverScratch is one worker's reusable delivery state: the grid
+// deliverScratch is the reusable per-receiver delivery state: the grid
 // candidate buffer, the per-receiver transmission partitions, and the
-// receiver RNG. Each shard checks one out of the pool for the receivers it
-// owns, so the buffers are never shared between concurrent workers.
+// receiver RNG.
 type deliverScratch struct {
 	buf         []int32
 	inR1        []sim.Transmission
@@ -154,9 +146,9 @@ type deliverScratch struct {
 	// The receiver randomness (gray-zone delivery and detector noise) is a
 	// det.Stream re-keyed to (seed, round, receiver) per receiver — one
 	// word of state, so reseeding is a HashKeys call and an assignment.
-	// One pre-bound closure per scratch — handing a fresh closure to
-	// Detector.Report for every receiver is what used to make delivery
-	// allocate twice per receiver per round.
+	// One pre-bound closure — handing a fresh closure to Detector.Report
+	// for every receiver is what used to make delivery allocate twice per
+	// receiver per round.
 	rng det.Stream
 	rnd func() float64
 }
@@ -188,13 +180,10 @@ func NewMedium(cfg Config) (*Medium, error) {
 	if cfg.Mode < ModeAuto || cfg.Mode > ModeGrid {
 		return nil, fmt.Errorf("radio: unknown delivery mode %d", cfg.Mode)
 	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("radio: Workers = %d, must be non-negative", cfg.Workers)
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	return &Medium{cfg: cfg}, nil
+	return &Medium{cfg: cfg, scratch: newDeliverScratch()}, nil
 }
 
 // MustMedium is NewMedium for static configurations known to be valid; it
@@ -255,52 +244,31 @@ func (m *Medium) Deliver(r sim.Round, txs []sim.Transmission, rxs []sim.NodeInfo
 		}
 	}
 
-	sim.Shard(len(rxs), m.workersFor(len(rxs)), func(lo, hi int) {
-		s, _ := m.scratch.Get().(*deliverScratch)
-		if s == nil {
-			s = newDeliverScratch()
+	s := m.scratch
+	for i, rx := range rxs {
+		if !rx.Alive {
+			out[i] = sim.Reception{Round: r}
+			continue
 		}
-		for i := lo; i < hi; i++ {
-			rx := rxs[i]
-			if !rx.Alive {
-				out[i] = sim.Reception{Round: r}
-				continue
-			}
-			if ix != nil {
-				s.buf = ix.Near(s.buf[:0], rx.At, 1)
-			}
-			out[i] = m.receive(r, txs, s, ix != nil, rx)
+		if ix != nil {
+			s.buf = ix.Near(s.buf[:0], rx.At, 1)
 		}
-		m.scratch.Put(s)
-	})
+		out[i] = m.receive(r, txs, ix != nil, rx)
+	}
 	return out
 }
 
-// workersFor returns the number of delivery shards to use for n receivers.
-func (m *Medium) workersFor(n int) int {
-	if !m.cfg.Parallel || n < 2 {
-		return 1
-	}
-	w := m.cfg.Workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// receive computes one receiver's reception. When useIdx is set, s.buf
-// holds the indices (into txs) of the grid-selected candidates, a superset
-// of every transmission within R2 of the receiver, and m.ownTx maps each
-// sender to its transmission (identity can't be answered by a positional
-// query); otherwise the full transmission slice is scanned. Both paths
-// classify candidates by exact distance, so they produce identical
-// receptions. The partitions live in the worker's scratch, reused across
-// receivers and rounds.
-func (m *Medium) receive(r sim.Round, txs []sim.Transmission, s *deliverScratch, useIdx bool, rx sim.NodeInfo) sim.Reception {
+// receive computes one receiver's reception. When useIdx is set,
+// m.scratch.buf holds the indices (into txs) of the grid-selected
+// candidates, a superset of every transmission within R2 of the receiver,
+// and m.ownTx maps each sender to its transmission (identity can't be
+// answered by a positional query); otherwise the full transmission slice
+// is scanned. Both paths classify candidates by exact distance, so they
+// produce identical receptions. The partitions live in the medium's
+// scratch, reused across receivers and rounds.
+func (m *Medium) receive(r sim.Round, txs []sim.Transmission, useIdx bool, rx sim.NodeInfo) sim.Reception {
 	radii := m.cfg.Radii
+	s := m.scratch
 
 	// Partition the round's transmissions as seen from this receiver.
 	var own *sim.Transmission

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"vinfra/internal/det"
@@ -45,12 +44,10 @@ type Engine struct {
 	rxFn     func(w, lo, hi int)
 
 	// pool is the persistent worker runtime behind every parallel
-	// fan-out: started lazily on the first parallel round, torn down by
-	// Close and Snapshot (and rebuilt lazily if the engine steps again).
-	// spawnFanout forces the legacy goroutine-per-round path instead —
-	// the benchmark baseline the pool is measured against.
-	pool        *workerPool
-	spawnFanout bool
+	// fan-out — the stack's only one: started lazily on the first parallel
+	// round, torn down by Close and Snapshot (and rebuilt lazily if the
+	// engine steps again).
+	pool *workerPool
 
 	// partTime accumulates wall time spent in the sharded
 	// mobility+partition pass. It is a measurement, not state: never part
@@ -470,29 +467,14 @@ func (e *Engine) poolWidth() int {
 
 // runChunks runs fn over [0, n) in at most k balanced contiguous chunks
 // (chunk w covers [w*n/k, (w+1)*n/k)): inline when k <= 1, otherwise on
-// the persistent worker runtime, creating it on first use. With
-// spawnFanout set it spawns a goroutine per chunk instead — the legacy
-// per-round fan-out kept as the benchmark baseline; the chunk boundaries
-// (and therefore the output) are identical on every path.
+// the persistent worker runtime, creating it on first use. The chunk
+// boundaries (and therefore the output) are the same either way.
 func (e *Engine) runChunks(n, k int, fn func(w, lo, hi int)) {
 	if k > n {
 		k = n
 	}
 	if k <= 1 {
 		fn(0, 0, n)
-		return
-	}
-	if e.spawnFanout {
-		var wg sync.WaitGroup
-		for w := 1; w < k; w++ {
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				fn(w, lo, hi)
-			}(w, w*n/k, (w+1)*n/k)
-		}
-		fn(0, 0, n/k)
-		wg.Wait()
 		return
 	}
 	if e.pool == nil {
@@ -518,36 +500,4 @@ func (e *Engine) Close() {
 // snapshots, so determinism comparisons never see it.
 func (e *Engine) PartitionTime() time.Duration {
 	return e.partTime
-}
-
-// Shard splits [0, n) into at most workers contiguous chunks and runs fn on
-// each, concurrently when workers > 1, returning once every chunk is done.
-// Chunks are balanced: chunk i covers [i*n/w, (i+1)*n/w), so sizes differ
-// by at most one and every chunk is non-empty — the old ceil-division
-// split could strand most workers and leave a degenerate last chunk (n=9,
-// workers=8 produced five chunks of 2,2,2,2,1).
-//
-// This is the spawn-per-call primitive used by the radio medium's parallel
-// delivery (which may run nested inside an engine worker and so cannot
-// share the engine's pool); the engine's own fan-outs run on the
-// persistent worker runtime instead. fn must only touch state owned by (or
-// slotted per) the indices it is given.
-func Shard(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(w*n/workers, (w+1)*n/workers)
-	}
-	fn(0, n/workers)
-	wg.Wait()
 }

@@ -79,9 +79,9 @@ func runPoolScenario(rounds, closeEvery int, opts ...Option) ([][]Reception, []g
 
 // TestPersistentPoolCloseMidRunEqualsSequential is the lifecycle half of
 // the determinism contract for the worker runtime: a sharded parallel run,
-// a run whose pool is torn down and lazily rebuilt every few rounds, and a
-// run on the legacy spawn-per-round path must all be observable-identical
-// to the plain single-medium sequential run.
+// runs whose pool is torn down and lazily rebuilt every few rounds, and an
+// unsharded parallel run must all be observable-identical to the plain
+// single-medium sequential run.
 func TestPersistentPoolCloseMidRunEqualsSequential(t *testing.T) {
 	const rounds = 18
 	wantHeard, wantPos, wantAlive, wantStats := runPoolScenario(rounds, 0)
@@ -158,31 +158,6 @@ func TestPersistentPoolSnapshotRestore(t *testing.T) {
 	}
 	if got := a.Snapshot().AppendTo(nil); !bytes.Equal(got, want) {
 		t.Fatal("snapshotted engine diverges when it continues past its own checkpoint")
-	}
-}
-
-// TestPersistentPoolForkDeterministic forks from a snapshot taken while
-// the worker pool was live: same fork seed twice is byte-identical,
-// different seeds diverge — the pool contributes nothing to the stream.
-func TestPersistentPoolForkDeterministic(t *testing.T) {
-	src, _ := snapshotShardedEngine(6)
-	src.Run(6)
-	snap := src.Snapshot()
-
-	fork := func(seed int64) []byte {
-		e, _ := snapshotShardedEngine(6)
-		if err := e.Fork(snap, seed); err != nil {
-			t.Fatal(err)
-		}
-		e.Run(6)
-		return e.Snapshot().AppendTo(nil)
-	}
-	a, b, c := fork(99), fork(99), fork(100)
-	if !bytes.Equal(a, b) {
-		t.Fatal("two forks with the same seed diverge")
-	}
-	if bytes.Equal(a, c) {
-		t.Fatal("forks with different seeds are identical")
 	}
 }
 

@@ -24,8 +24,8 @@ func chunksOf(run func(record func(lo, hi int))) [][2]int {
 // contiguously with no gaps or overlaps, there are exactly want of them,
 // and their sizes are balanced (differ by at most one, none empty when
 // n > 0). The old ceil-division split violated balance for n slightly
-// above a multiple of workers — Shard(9, 8) produced chunks 2,2,2,2,1,
-// leaving three workers idle and a degenerate last chunk.
+// above a multiple of workers — 9 indices over 8 workers produced chunks
+// 2,2,2,2,1, leaving three workers idle and a degenerate last chunk.
 func checkChunks(t *testing.T, chunks [][2]int, n, want int) {
 	t.Helper()
 	if len(chunks) != want {
@@ -56,12 +56,18 @@ func checkChunks(t *testing.T, chunks [][2]int, n, want int) {
 	}
 }
 
-// TestShardChunking pins the edge widths of the spawn-per-call primitive:
-// n=0 (one empty call), n<workers (one chunk per index), n=workers+1 (the
-// regression case: every worker used, sizes 1 or 2), and a sweep.
+// TestShardChunking pins the edge widths of runChunks, the engine's single
+// fan-out entry point behind every mobility, Transmit, Receive and
+// region-shard loop: n=0 (one empty call), n<workers (one chunk per
+// index), n=workers+1 (the regression case: every worker used, sizes 1 or
+// 2), and a sweep.
 func TestShardChunking(t *testing.T) {
+	e := NewEngine(nil, WithWorkers(33)) // pool wide enough for every k below
+	defer e.Close()
 	shardChunks := func(n, w int) [][2]int {
-		return chunksOf(func(rec func(lo, hi int)) { Shard(n, w, rec) })
+		return chunksOf(func(rec func(lo, hi int)) {
+			e.runChunks(n, w, func(_, lo, hi int) { rec(lo, hi) })
+		})
 	}
 	checkChunks(t, shardChunks(0, 4), 0, 1) // fn still called once, on [0,0)
 	checkChunks(t, shardChunks(3, 8), 3, 3) // n < workers: n single-index chunks

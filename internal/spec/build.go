@@ -54,37 +54,6 @@ type World struct {
 	resets int
 }
 
-// counterState is the default virtual node program's state: it counts
-// client messages and broadcasts the count when scheduled (the reference
-// program of the experiment suite).
-type counterState struct {
-	Pings int
-}
-
-func counterProgram(sched vi.Schedule) func(vi.VNodeID) vi.Program {
-	return func(v vi.VNodeID) vi.Program {
-		return vi.Codec[counterState]{
-			InitState: func(vi.VNodeID, geo.Point) counterState { return counterState{} },
-			Step: func(s counterState, _ int, in vi.RoundInput) counterState {
-				s.Pings += len(in.Msgs)
-				return s
-			},
-			Out: func(s counterState, vround int) *vi.Message {
-				if !sched.ScheduledIn(v, vround-1) {
-					return nil
-				}
-				return vi.Text(fmt.Sprintf("count=%d", s.Pings))
-			},
-			EncodeState: func(dst []byte, s counterState) []byte {
-				return wire.AppendUvarint(dst, uint64(s.Pings))
-			},
-			DecodeState: func(d *wire.Decoder) (counterState, error) {
-				return counterState{Pings: int(d.Uvarint())}, d.Err()
-			},
-		}
-	}
-}
-
 // Build turns a spec into a runnable world. The construction is a pure
 // function of the spec: every Attach happens in a fixed order (replicas,
 // pingers, targets, observer, listeners) and every seed derives from the
@@ -109,7 +78,7 @@ func Build(s Spec) (*World, error) {
 	case "tracker":
 		cfg.Program = apps.TrackerProgram(sched, apps.TrackerConfig{})
 	default:
-		cfg.Program = counterProgram(sched)
+		cfg.Program = apps.CounterProgram(sched)
 	}
 	if s.Leader == "fixed" {
 		factories := make([]cm.Factory, len(locs))
@@ -149,11 +118,10 @@ func Build(s Spec) (*World, error) {
 	default:
 		mediumCfg.Adversary = jammers
 	}
+	// Every medium runs ModeAuto, which picks the scan or the grid index
+	// from each round's size; the engine's worker pool is the only fan-out.
 	engOpts := []sim.Option{sim.WithSeed(s.Seed)}
 	if s.Engine.Parallel {
-		mediumCfg.Mode = radio.ModeGrid
-		mediumCfg.Parallel = true
-		mediumCfg.Workers = s.Engine.Workers
 		if s.Engine.Workers > 0 {
 			engOpts = append(engOpts, sim.WithWorkers(s.Engine.Workers))
 		} else {
@@ -161,14 +129,9 @@ func Build(s Spec) (*World, error) {
 		}
 	}
 	if s.Engine.Shards > 0 {
-		// Each shard medium delivers its residents sequentially (the shard
-		// is the parallelism unit) with ModeAuto, the viBed configuration.
-		shardCfg := mediumCfg
-		shardCfg.Mode = radio.ModeAuto
-		shardCfg.Parallel = false
 		cols, rows := shard.Split(s.Engine.Shards)
 		engOpts = append(engOpts, sim.WithRegionShards(cols, rows, radii.R2, func() sim.Medium {
-			return radio.MustMedium(shardCfg)
+			return radio.MustMedium(mediumCfg)
 		}))
 	}
 	medium, err := radio.NewMedium(mediumCfg)

@@ -48,6 +48,12 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
+// TestShardedMatchesSequential pins every engine configuration a spec can
+// ask for to the sequential world. The unsharded parallel rows (workers: 2
+// is the metro benchmark's engine) keep one medium, so their full
+// checkpoint bytes must match the sequential ones. A sharded engine's
+// snapshot records the shard plan and halo accounting, so the sharded row
+// is held to the monitor bytes plus the core stats.
 func TestShardedMatchesSequential(t *testing.T) {
 	s := smallSpec(t)
 	seq, err := Build(s)
@@ -55,23 +61,43 @@ func TestShardedMatchesSequential(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	defer seq.Eng.Close()
-	s.Engine.Shards = 2
-	shd, err := Build(s)
-	if err != nil {
-		t.Fatalf("Build sharded: %v", err)
-	}
-	defer shd.Eng.Close()
 	run(t, seq, 4)
-	run(t, shd, 4)
-	// Engine snapshots record the shard plan and halo accounting, so the
-	// cross-configuration contract is the monitor bytes plus the core stats.
-	if !bytes.Equal(seq.Mon.Snapshot().AppendTo(nil), shd.Mon.Snapshot().AppendTo(nil)) {
-		t.Fatal("sharded run diverged from sequential (monitor)")
-	}
-	seqStats, shdStats := seq.Eng.Stats(), shd.Eng.Stats()
-	seqStats.HaloTransmissions, shdStats.HaloTransmissions = 0, 0
-	if seqStats != shdStats {
-		t.Fatalf("sharded stats %+v diverged from sequential %+v", shdStats, seqStats)
+	wantCkpt := seq.Checkpoint().Encode()
+	wantMon := seq.Mon.Snapshot().AppendTo(nil)
+	wantStats := seq.Eng.Stats()
+
+	for _, tc := range []struct {
+		name   string
+		engine Engine
+	}{
+		{"workers=2", Engine{Workers: 2}},
+		{"parallel", Engine{Parallel: true}},
+		{"shards=2", Engine{Shards: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := s
+			s.Engine = tc.engine
+			w, err := Build(s)
+			if err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			defer w.Eng.Close()
+			run(t, w, 4)
+			if tc.engine.Shards == 0 {
+				if !bytes.Equal(w.Checkpoint().Encode(), wantCkpt) {
+					t.Fatal("checkpoint diverged from the sequential world")
+				}
+				return
+			}
+			if !bytes.Equal(w.Mon.Snapshot().AppendTo(nil), wantMon) {
+				t.Fatal("sharded run diverged from sequential (monitor)")
+			}
+			stats, want := w.Eng.Stats(), wantStats
+			stats.HaloTransmissions, want.HaloTransmissions = 0, 0
+			if stats != want {
+				t.Fatalf("sharded stats %+v diverged from sequential %+v", stats, want)
+			}
+		})
 	}
 }
 

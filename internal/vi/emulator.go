@@ -342,7 +342,7 @@ func (e *Emulator) transmitVN(r sim.Round, vr int) sim.Message {
 		return nil
 	}
 	state := e.cache.stateBefore(e.core.CalculateHistory(), vr)
-	out := e.d.program(e.vn).Outgoing(state, vr)
+	out := e.cache.prog.Outgoing(state, vr)
 	if out == nil {
 		return nil
 	}
@@ -497,9 +497,8 @@ func (e *Emulator) finishInstance(rx sim.Reception) {
 // state through it, snapshot it, and garbage-collect the agreement layer.
 func (e *Emulator) fold(out cha.Output) {
 	state := e.cache.floorState
-	prog := e.d.program(e.vn)
 	for k := e.cache.floor + 1; k <= out.Instance; k++ {
-		state = applyInstance(prog, state, out.History, k)
+		state = applyInstance(e.cache.prog, state, out.History, k)
 	}
 	e.cache.resetAt(out.Instance, state)
 	e.core.GC(out.Instance)

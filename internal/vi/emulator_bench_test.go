@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"vinfra/internal/apps"
 	"vinfra/internal/cd"
 	"vinfra/internal/geo"
 	"vinfra/internal/radio"
@@ -12,20 +13,22 @@ import (
 )
 
 // benchBed wires a cols x rows virtual-node grid with three bootstrapped
-// replicas per region, one pinging client per region, fixed leaders, and
-// the parallel grid stack off (the benchmark isolates the state plane, not
-// the delivery fan-out).
+// replicas per region, one pinging client per region, fixed leaders, the
+// bounded apps.CounterProgram, and a sequential engine (the benchmark
+// isolates the state plane, not the fan-out). Region v attaches its three
+// replicas and then its client, so its first replica, the leader, is node
+// 4v.
 func benchBed(cols, rows int) (*sim.Engine, *vi.Deployment) {
 	locs := geo.Grid{Spacing: 6, Cols: cols, Rows: rows}.Locations()
 	sched := vi.BuildSchedule(locs, testRadii)
 	leaders := make(map[vi.VNodeID]sim.NodeID, len(locs))
 	for v := range locs {
-		leaders[vi.VNodeID(v)] = sim.NodeID(v * 3)
+		leaders[vi.VNodeID(v)] = sim.NodeID(v * 4)
 	}
 	dep, err := vi.NewDeployment(vi.DeploymentConfig{
 		Locations: locs,
 		Radii:     testRadii,
-		Program:   counterProgram(sched),
+		Program:   apps.CounterProgram(sched),
 		NewCM:     fixedLeaderCM(leaders),
 	})
 	if err != nil {
