@@ -27,6 +27,18 @@ import (
 	"vinfra/internal/service"
 )
 
+// Server timeouts. A client that opens a connection and then trickles its
+// headers or body, or leaves an idle keep-alive open, would otherwise hold a
+// connection and its goroutine forever. Request bodies are small documents
+// (the service caps them at 1 MiB), so the read bounds are generous. There
+// is no write timeout: a long step or a large checkpoint download is
+// legitimate work.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	state := flag.String("state", "", "state directory for spec + checkpoint persistence (empty = in-memory only)")
@@ -58,7 +70,12 @@ func main() {
 	// printed only after the port is bound.
 	fmt.Fprintf(os.Stderr, "visimd: listening on http://%s\n", ln.Addr())
 
-	srv := &http.Server{Handler: svc}
+	srv := &http.Server{
+		Handler:           svc,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -62,7 +62,8 @@
 //     WireSize is the exact length of its encoding. Monitor accounts
 //     per-virtual-node availability: green instances, maximal stalls and
 //     recovery latencies, with horizon-aware variants that count a
-//     silenced node as unavailable.
+//     silenced node as unavailable. It stores green instances as sorted
+//     runs, so its memory and report cost are O(stalls), not O(horizon).
 //   - apps, baseline: applications on top of the infrastructure and the
 //     baselines the paper argues against. Application payloads and states
 //     are canonical wire encodings (a one-byte kind tag plus fixed field

@@ -1,6 +1,8 @@
 package vi
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"vinfra/internal/cha"
@@ -17,36 +19,90 @@ import (
 // (and therefore output hooks) across workers. Accumulation is a set union,
 // so the reports are independent of observation order — the same determinism
 // contract as the rest of the stack (sequential == parallel).
+//
+// Each virtual node's green instances are kept as sorted, disjoint runs, so
+// memory and every report cost O(stalls), not O(horizon): a node that never
+// stalled holds one run however long the deployment lives.
 type Monitor struct {
-	mu     sync.Mutex
-	greens map[VNodeID]map[cha.Instance]bool
-	top    map[VNodeID]cha.Instance
+	mu    sync.Mutex
+	nodes map[VNodeID]*account
 }
+
+// account is one virtual node's accounting: the highest instance observed
+// and the green instances as maximal runs [lo,hi], ascending, with at least
+// one non-green instance between neighbours. Its gaps below top are
+// exactly the node's stalls.
+type account struct {
+	top  cha.Instance
+	runs []greenRun
+}
+
+type greenRun struct{ lo, hi cha.Instance }
 
 // NewMonitor returns an empty monitor.
 func NewMonitor() *Monitor {
-	return &Monitor{
-		greens: make(map[VNodeID]map[cha.Instance]bool),
-		top:    make(map[VNodeID]cha.Instance),
-	}
+	return &Monitor{nodes: make(map[VNodeID]*account)}
 }
 
 // Observe records one replica's output for virtual node v. Wire it into
-// EmulatorHooks.OnOutput.
+// EmulatorHooks.OnOutput. Instances number from 1; an output for instance
+// 0 (the "no instance" sentinel) carries no accounting and is ignored.
 func (m *Monitor) Observe(v VNodeID, out cha.Output) {
-	m.mu.Lock()
-	if out.Color == cha.Green {
-		g := m.greens[v]
-		if g == nil {
-			g = make(map[cha.Instance]bool)
-			m.greens[v] = g
-		}
-		g[out.Instance] = true
+	k := out.Instance
+	if k < 1 {
+		return
 	}
-	if out.Instance > m.top[v] {
-		m.top[v] = out.Instance
+	m.mu.Lock()
+	a := m.nodes[v]
+	if a == nil {
+		a = &account{}
+		m.nodes[v] = a
+	}
+	if k > a.top {
+		a.top = k
+	}
+	if out.Color == cha.Green {
+		a.addGreen(k)
 	}
 	m.mu.Unlock()
+}
+
+// addGreen adds instance k (>= 1) to the green runs. In-order outputs
+// extend or follow the last run in O(1); late and duplicate ones, which
+// several replicas and the parallel engine's workers produce, binary-search
+// for the run to join, merging two runs when k fills the gap between them.
+func (a *account) addGreen(k cha.Instance) {
+	n := len(a.runs)
+	switch {
+	case n > 0 && k == a.runs[n-1].hi+1:
+		a.runs[n-1].hi = k
+		return
+	case n == 0 || k > a.runs[n-1].hi+1:
+		a.runs = append(a.runs, greenRun{k, k})
+		return
+	}
+	// i is the first run ending at or after k-1; i < n, since the last
+	// run ends at or after k-1.
+	i, _ := slices.BinarySearchFunc(a.runs, k-1, func(r greenRun, t cha.Instance) int {
+		return cmp.Compare(r.hi, t)
+	})
+	r := &a.runs[i]
+	switch {
+	case k >= r.lo && k <= r.hi:
+		// Already green.
+	case k == r.hi+1:
+		r.hi = k
+		if i+1 < n && a.runs[i+1].lo == k+1 {
+			r.hi = a.runs[i+1].hi
+			a.runs = slices.Delete(a.runs, i+1, i+2)
+		}
+	case k == r.lo-1:
+		// The previous run ends below k-1 (by the choice of i), so no
+		// merge backwards.
+		r.lo = k
+	default:
+		a.runs = slices.Insert(a.runs, i, greenRun{k, k})
+	}
 }
 
 // Stall is one maximal run of consecutive unavailable instances of a
@@ -88,44 +144,39 @@ type AvailabilityReport struct {
 // count as unavailable there, not unobserved.
 func (m *Monitor) Report(v VNodeID) AvailabilityReport {
 	m.mu.Lock()
-	top := int(m.top[v])
+	top := 0
+	if a := m.nodes[v]; a != nil {
+		top = int(a.top)
+	}
 	m.mu.Unlock()
 	return m.ReportThrough(v, top)
 }
 
 // ReportThrough computes virtual node v's availability accounting over
 // instances 1..through: an instance no replica reached green in — including
-// one no replica reported at all — is unavailable.
+// one no replica reported at all — is unavailable. It walks v's green runs,
+// so it costs O(stalls) and allocates only the Stalls list.
 func (m *Monitor) ReportThrough(v VNodeID, through int) AvailabilityReport {
+	rep := AvailabilityReport{Instances: through}
+	end := cha.Instance(through)
+	next := cha.Instance(1) // lowest instance not yet accounted
 	m.mu.Lock()
-	top := through
-	greens := make([]bool, top+1)
-	for k := range m.greens[v] {
-		if int(k) <= top {
-			greens[k] = true
+	if a := m.nodes[v]; a != nil {
+		for _, r := range a.runs {
+			if r.lo > end {
+				break
+			}
+			if r.lo > next {
+				rep.Stalls = append(rep.Stalls, Stall{From: next, Len: int(r.lo - next), Ended: true})
+			}
+			hi := min(r.hi, end)
+			rep.Green += int(hi - r.lo + 1)
+			next = hi + 1
 		}
 	}
 	m.mu.Unlock()
-
-	rep := AvailabilityReport{Instances: top}
-	run := 0
-	for k := 1; k <= top; k++ {
-		if greens[k] {
-			rep.Green++
-			if run > 0 {
-				rep.Stalls = append(rep.Stalls, Stall{
-					From: cha.Instance(k - run), Len: run, Ended: true,
-				})
-				run = 0
-			}
-			continue
-		}
-		run++
-	}
-	if run > 0 {
-		rep.Stalls = append(rep.Stalls, Stall{
-			From: cha.Instance(top + 1 - run), Len: run,
-		})
+	if next <= end {
+		rep.Stalls = append(rep.Stalls, Stall{From: next, Len: int(end - next + 1)})
 	}
 	rep.Unavailable = rep.Instances - rep.Green
 	if rep.Instances > 0 {

@@ -2,6 +2,7 @@ package vi
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"vinfra/internal/cha"
@@ -367,7 +368,11 @@ func (s MonitorSnapshot) WireSize() int {
 }
 
 // DecodeMonitorSnapshot decodes a MonitorSnapshot from b, which must
-// contain exactly one encoding.
+// contain exactly one encoding. It rejects what Monitor.Snapshot never
+// produces: virtual nodes out of ascending order, a top below 1 (a node
+// is accounted only once an instance >= 1 was observed), and green
+// instances out of ascending order, below 1 or above the node's top. The
+// readers index instances from 1 and trust these bounds.
 func DecodeMonitorSnapshot(b []byte) (MonitorSnapshot, error) {
 	d := wire.Dec(b)
 	var s MonitorSnapshot
@@ -379,15 +384,26 @@ func DecodeMonitorSnapshot(b []byte) (MonitorSnapshot, error) {
 	s.Tops = make([]cha.Instance, 0, nv)
 	s.Greens = make([][]cha.Instance, 0, nv)
 	for i := uint64(0); i < nv; i++ {
-		s.VNodes = append(s.VNodes, VNodeID(d.Varint()))
-		s.Tops = append(s.Tops, cha.Instance(d.Uvarint()))
+		v := VNodeID(d.Varint())
+		top := d.Uvarint()
+		if (i > 0 && v <= s.VNodes[i-1]) || top < 1 || top > math.MaxInt {
+			return MonitorSnapshot{}, wire.ErrMalformed
+		}
+		s.VNodes = append(s.VNodes, v)
+		s.Tops = append(s.Tops, cha.Instance(top))
 		ng := d.Uvarint()
 		if ng > uint64(d.Rem()) {
 			return MonitorSnapshot{}, wire.ErrMalformed
 		}
 		g := make([]cha.Instance, 0, ng)
+		prev := uint64(0)
 		for j := uint64(0); j < ng; j++ {
-			g = append(g, cha.Instance(d.Uvarint()))
+			k := d.Uvarint()
+			if k <= prev || k > top {
+				return MonitorSnapshot{}, wire.ErrMalformed
+			}
+			g = append(g, cha.Instance(k))
+			prev = k
 		}
 		s.Greens = append(s.Greens, g)
 	}
@@ -397,56 +413,52 @@ func DecodeMonitorSnapshot(b []byte) (MonitorSnapshot, error) {
 	return s, nil
 }
 
-// Snapshot captures the monitor's accounting. Map walks are sorted, so two
-// snapshots of the same accounting are byte-identical.
+// Snapshot captures the monitor's accounting, expanding each node's green
+// runs into its sorted instance list. Nodes are sorted, so two snapshots
+// of the same accounting are byte-identical.
 func (m *Monitor) Snapshot() MonitorSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	seen := make(map[VNodeID]bool, len(m.greens)+len(m.top))
-	for v := range m.greens {
-		seen[v] = true
-	}
-	for v := range m.top {
-		seen[v] = true
-	}
 	var s MonitorSnapshot
-	s.VNodes = make([]VNodeID, 0, len(seen))
-	for v := range seen {
+	s.VNodes = make([]VNodeID, 0, len(m.nodes))
+	total := 0
+	for v, a := range m.nodes {
 		s.VNodes = append(s.VNodes, v)
+		for _, r := range a.runs {
+			total += int(r.hi - r.lo + 1)
+		}
 	}
 	slices.Sort(s.VNodes)
 	s.Tops = make([]cha.Instance, len(s.VNodes))
 	s.Greens = make([][]cha.Instance, len(s.VNodes))
+	all := make([]cha.Instance, 0, total)
 	for i, v := range s.VNodes {
-		s.Tops[i] = m.top[v]
-		g := make([]cha.Instance, 0, len(m.greens[v]))
-		for k := range m.greens[v] {
-			g = append(g, k)
+		a := m.nodes[v]
+		s.Tops[i] = a.top
+		start := len(all)
+		for _, r := range a.runs {
+			for k := r.lo; k <= r.hi; k++ {
+				all = append(all, k)
+			}
 		}
-		slices.Sort(g)
-		s.Greens[i] = g
+		s.Greens[i] = all[start:len(all):len(all)]
 	}
 	return s
 }
 
 // Restore replaces the monitor's accounting in place — in place because
 // experiment beds wire m.Observe (a method value) into emulator hooks, so
-// the monitor pointer itself cannot be swapped on restore.
+// the monitor pointer itself cannot be swapped on restore. Green instance
+// lists fold back into runs.
 func (m *Monitor) Restore(s MonitorSnapshot) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.greens = make(map[VNodeID]map[cha.Instance]bool, len(s.VNodes))
-	m.top = make(map[VNodeID]cha.Instance, len(s.VNodes))
+	m.nodes = make(map[VNodeID]*account, len(s.VNodes))
 	for i, v := range s.VNodes {
-		if s.Tops[i] != 0 {
-			m.top[v] = s.Tops[i]
+		a := &account{top: s.Tops[i]}
+		for _, k := range s.Greens[i] {
+			a.addGreen(k)
 		}
-		if len(s.Greens[i]) > 0 {
-			g := make(map[cha.Instance]bool, len(s.Greens[i]))
-			for _, k := range s.Greens[i] {
-				g[k] = true
-			}
-			m.greens[v] = g
-		}
+		m.nodes[v] = a
 	}
 }

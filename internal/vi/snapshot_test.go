@@ -158,6 +158,9 @@ func FuzzDecodeMonitorSnapshot(f *testing.F) {
 	m.Observe(3, cha.Output{Instance: 2, Color: cha.Green})
 	f.Add(m.Snapshot().AppendTo(nil))
 	f.Add([]byte{0x01, 0x00})
+	for _, b := range invalidMonitorSnapshots {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeMonitorSnapshot(data)
 		if err != nil {
@@ -170,5 +173,53 @@ func FuzzDecodeMonitorSnapshot(f *testing.F) {
 		if !bytes.Equal(out, data) {
 			t.Fatalf("accepted snapshot re-encodes to % x, input % x", out, data)
 		}
+		// An accepted snapshot restores to a monitor that snapshots back
+		// to the same bytes and whose readers do not panic.
+		m := NewMonitor()
+		m.Restore(s)
+		if again := m.Snapshot().AppendTo(nil); !bytes.Equal(again, data) {
+			t.Fatalf("restored monitor snapshots to % x, input % x", again, data)
+		}
+		for i, v := range s.VNodes {
+			top := int(s.Tops[i])
+			for _, through := range []int{0, top, top + 5} {
+				m.ReportThrough(v, through)
+			}
+		}
 	})
+}
+
+// invalidMonitorSnapshots are encodings Monitor.Snapshot never produces;
+// the decoder must reject each.
+var invalidMonitorSnapshots = map[string][]byte{
+	// A green uvarint of 2^64-1 casts to instance -1; restored, it made
+	// ReportThrough index a slice at -1.
+	"green cast negative": {0x01, 0x00, 0x01, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	"top cast negative":   {0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00},
+	"top zero":            {0x01, 0x00, 0x00, 0x00},
+	"green zero":          {0x01, 0x00, 0x02, 0x01, 0x00},
+	"green above top":     {0x01, 0x00, 0x02, 0x01, 0x03},
+	"greens descending":   {0x01, 0x00, 0x05, 0x02, 0x03, 0x02},
+	"greens duplicated":   {0x01, 0x00, 0x05, 0x02, 0x03, 0x03},
+	"vnodes descending":   {0x02, 0x04, 0x01, 0x00, 0x02, 0x01, 0x00},
+	"vnodes duplicated":   {0x02, 0x02, 0x01, 0x00, 0x02, 0x01, 0x00},
+}
+
+func TestDecodeMonitorSnapshotRejectsInvalid(t *testing.T) {
+	for name, b := range invalidMonitorSnapshots {
+		if s, err := DecodeMonitorSnapshot(b); err == nil {
+			t.Errorf("%s: accepted % x as %+v", name, b, s)
+		}
+	}
+	// The same shapes made valid decode fine, so each case above fails on
+	// the property it names, not on framing.
+	for _, b := range [][]byte{
+		{0x01, 0x00, 0x01, 0x01, 0x01},
+		{0x01, 0x00, 0x05, 0x02, 0x02, 0x03},
+		{0x02, 0x02, 0x01, 0x00, 0x04, 0x01, 0x00},
+	} {
+		if _, err := DecodeMonitorSnapshot(b); err != nil {
+			t.Errorf("rejected valid % x: %v", b, err)
+		}
+	}
 }
